@@ -21,7 +21,7 @@ import sys
 from repro.sim.failures import ChaosConfig, build_fault_plan, run_chaos
 
 
-def storm(seed: int) -> "ChaosResult":
+def storm(seed: int) -> "DrillResult":
     config = ChaosConfig(
         seed=seed,
         duration=3000,

@@ -293,15 +293,12 @@ def _cmd_bench(args) -> int:
 
 def _cmd_chaos(args) -> int:
     import contextlib
-    import json
     import tempfile
 
     from repro.sim.failures import ChaosConfig, run_chaos
 
-    with contextlib.ExitStack() as stack:
-        root = None
-        if args.wal:
-            root = stack.enter_context(tempfile.TemporaryDirectory())
+    workdir = tempfile.TemporaryDirectory() if args.wal else contextlib.nullcontext()
+    with workdir as root:
         config = ChaosConfig(
             seed=args.seed,
             duration=args.duration,
@@ -310,28 +307,10 @@ def _cmd_chaos(args) -> int:
             durability_root=root,
         )
         result = run_chaos(config)
-    print(result.summary())
-    if args.json:
-        payload = {
-            "seed": result.seed,
-            "ok": result.ok,
-            "committed": result.committed,
-            "aborted": result.aborted,
-            "sim_time": result.sim_time,
-            "counters": result.counters,
-            "violations": [v.to_dict() for v in result.violations],
-            "schedule": result.schedule_description,
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    return 0 if result.ok else 1
+    return _report_drill(result, args.json)
 
 
 def _cmd_overload(args) -> int:
-    import json
-
     from repro.sim.overload import OverloadDrillConfig, run_overload
 
     config = OverloadDrillConfig(
@@ -341,26 +320,17 @@ def _cmd_overload(args) -> int:
         n_local=args.locals_,
         shed=not args.no_shed,
     )
-    result = run_overload(config)
+    return _report_drill(run_overload(config), args.json)
+
+
+def _report_drill(result, json_path) -> int:
+    """Print a drill's summary, write its ``--json`` document; exit code."""
     print(result.summary())
-    if args.json:
-        payload = {
-            "seed": result.seed,
-            "ok": result.ok,
-            "load": result.load,
-            "shed": result.shed,
-            "submitted": result.submitted,
-            "committed": result.committed,
-            "aborted": result.aborted,
-            "sim_time": result.sim_time,
-            "goodput": result.goodput,
-            "counters": result.counters,
-            "violations": [v.to_dict() for v in result.violations],
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
+    if json_path:
+        from repro.common.atomic import atomic_write_json
+
+        atomic_write_json(json_path, result.to_dict())
+        print(f"wrote {json_path}")
     return 0 if result.ok else 1
 
 

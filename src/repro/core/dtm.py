@@ -96,14 +96,11 @@ class SystemConfig:
     ltm_overrides: Dict[str, LTMConfig] = field(default_factory=dict)
     agent_overrides: Dict[str, AgentConfig] = field(default_factory=dict)
     dlu_policy: DLUPolicy = DLUPolicy.ABORT
-    dlu_wait_timeout: Optional[float] = 200.0
     #: ``clock`` (the paper's choice), ``counter`` or ``lamport``.
     sn_source: str = "clock"
     #: Per-coordinator-site clock offsets (drift, experiment E9).
     clock_offsets: Dict[str, float] = field(default_factory=dict)
     clock_rates: Dict[str, float] = field(default_factory=dict)
-    #: CGM baseline: lock-wait / commit-graph-admission timeout.
-    cgm_timeout: float = 400.0
     #: CGM baseline: the globally-updatable table set.  When non-empty,
     #: CGM's data-partition rules are enforced (globals update only
     #: these tables and may not read others once they update; locals
@@ -282,7 +279,6 @@ class MultidatabaseSystem:
             guard = BoundDataGuard(
                 self.kernel,
                 policy=config.dlu_policy,
-                wait_timeout=config.dlu_wait_timeout,
                 statically_denied_tables=static_denied,
             )
             ltm = LocalTransactionManager(
@@ -367,9 +363,7 @@ class MultidatabaseSystem:
                 if config.cgm_gu_tables
                 else None
             )
-            scheduler = CGMScheduler(
-                self.kernel, timeout=config.cgm_timeout, partition=partition
-            )
+            scheduler = CGMScheduler(self.kernel, partition=partition)
             for agent in self.agents.values():
                 agent.on_ready_observers.append(scheduler.note_prepared)
                 agent.on_finalized_observers.append(scheduler.note_finalized)

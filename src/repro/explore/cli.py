@@ -16,10 +16,10 @@ Modes (mutually exclusive):
 from __future__ import annotations
 
 import argparse
-import json
 import os
 from typing import List, Optional, Tuple
 
+from repro.common.atomic import atomic_write_json
 from repro.explore.harness import ExploreSpec, matrix, run_once
 from repro.explore.mutants import MUTANTS
 from repro.explore.schedule_file import replay_schedule, save_schedule
@@ -136,14 +136,9 @@ def _cmd_explore(args) -> int:
             explorations.append(record)
 
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(
-                {"explorations": explorations, "found": found_any},
-                handle,
-                indent=2,
-                sort_keys=True,
-            )
-            handle.write("\n")
+        atomic_write_json(
+            args.json, {"explorations": explorations, "found": found_any}
+        )
         print(f"wrote {args.json}")
 
     if args.expect_find:

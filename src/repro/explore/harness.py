@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import shutil
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.coordinator import CoordinatorTimeouts
@@ -27,6 +27,7 @@ from repro.explore.nemesis import (
 )
 from repro.explore.trace import ChoicePoint
 from repro.history.invariants import Violation
+from repro.sim.driver import drive
 from repro.sim.failures import invariant_battery, wal_battery
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
@@ -77,32 +78,9 @@ class ExploreSpec:
         return " ".join(parts)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "sites": list(self.sites),
-            "n_global": self.n_global,
-            "n_local": self.n_local,
-            "certifier_engine": self.certifier_engine,
-            "durability": self.durability,
-            "n_coordinators": self.n_coordinators,
-            "method": self.method,
-            "mutant": self.mutant,
-            "budget": {
-                "drops": self.budget.drops,
-                "dups": self.budget.dups,
-                "delays": self.budget.delays,
-                "partitions": self.budget.partitions,
-                "crashes": self.budget.crashes,
-                "aborts": self.budget.aborts,
-            },
-            "keys_per_site": self.keys_per_site,
-            "hot_keys": self.hot_keys,
-            "hot_access_fraction": self.hot_access_fraction,
-            "update_fraction": self.update_fraction,
-            "mean_interarrival": self.mean_interarrival,
-            "horizon": self.horizon,
-            "max_events": self.max_events,
-        }
+        data = asdict(self)
+        data["sites"] = list(self.sites)
+        return data
 
     @staticmethod
     def from_dict(data: Dict[str, object]) -> "ExploreSpec":
@@ -146,7 +124,7 @@ def build_system(spec: ExploreSpec, durability_root: Optional[str] = None):
 
         durability = DurabilityConfig(root=durability_root)
 
-    budget = spec.budget.copy()
+    budget = replace(spec.budget)
 
     def network_factory(kernel, config):
         return ChoiceNetwork(
@@ -254,73 +232,12 @@ def run_once(spec: ExploreSpec, chooser) -> RunResult:
                 seed=spec.seed,
             )
         ).generate()
-        for site, tables in workload.initial_data.items():
-            for table, rows in tables.items():
-                system.load(site, table, rows)
-
-        outcomes: Dict = {}
-        violations: List[Violation] = []
-
-        def submit_global(entry) -> None:
-            completion = system.submit(entry.spec)
-
-            def done(event) -> None:
-                if event.error is not None:
-                    violations.append(
-                        Violation(
-                            kind="coordinator-death",
-                            detail=(
-                                f"coordinator process for {entry.spec.txn} "
-                                f"died: {event.error!r}"
-                            ),
-                            txns=(str(entry.spec.txn),),
-                        )
-                    )
-                    return
-                outcomes[entry.spec.txn] = event.value
-
-            completion.subscribe(done)
-
-        for entry in workload.globals_:
-            system.kernel.schedule(entry.at, lambda e=entry: submit_global(e))
-        for entry in workload.locals_:
-            system.kernel.schedule(
-                entry.at,
-                lambda e=entry: system.submit_local(
-                    e.site, e.commands, number=e.number, think_time=e.think_time
-                ),
-            )
-
-        try:
-            system.run(
-                until=spec.horizon, max_events=spec.max_events, advance=False
-            )
-        except Exception as exc:  # a protocol bug surfacing as a crash
-            violations.append(
-                Violation(
-                    kind="exception",
-                    detail=f"unhandled {type(exc).__name__}: {exc}",
-                    context={"type": type(exc).__name__},
-                )
-            )
-
-        pending = system.kernel.pending
-        if pending:
-            violations.append(
-                Violation(
-                    kind="quiesce",
-                    detail=(
-                        f"run did not quiesce within the horizon "
-                        f"({pending} events pending)"
-                    ),
-                    context={"pending": pending},
-                )
-            )
-
+        run = drive(system, workload, spec.horizon, max_events=spec.max_events)
+        violations = run.death_violations() + run.drain_violations()
         violations.extend(invariant_battery(system, include_ci=True))
         system.kernel.chooser = None
-        fingerprint = run_fingerprint(system, outcomes)
-        coverage = _coverage_of(system, outcomes, violations)
+        fingerprint = run_fingerprint(system, run.global_outcomes)
+        coverage = _coverage_of(system, run.global_outcomes, violations)
         system.close()
         if durability_root is not None:
             violations.extend(wal_battery(durability_root))
@@ -338,10 +255,10 @@ def run_once(spec: ExploreSpec, chooser) -> RunResult:
             violations=violations,
             fingerprint=fingerprint,
             coverage=coverage,
-            committed=sum(1 for o in outcomes.values() if o.committed),
-            aborted=sum(1 for o in outcomes.values() if not o.committed),
-            sim_time=system.kernel.now,
-            pending=pending,
+            committed=len(run.committed_globals),
+            aborted=len(run.aborted_globals),
+            sim_time=run.finished_at,
+            pending=run.pending,
         )
     finally:
         if durability_root is not None:

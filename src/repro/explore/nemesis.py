@@ -99,16 +99,6 @@ class FaultBudget:
     crashes: int = 1
     aborts: int = 2
 
-    def copy(self) -> "FaultBudget":
-        return FaultBudget(
-            drops=self.drops,
-            dups=self.dups,
-            delays=self.delays,
-            partitions=self.partitions,
-            crashes=self.crashes,
-            aborts=self.aborts,
-        )
-
 
 class ChoiceNetwork(FaultyNetwork):
     """A transport whose every fault is a recorded choice point.

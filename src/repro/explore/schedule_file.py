@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
+from repro.common.atomic import atomic_write_json
 from repro.explore.harness import ExploreSpec, RunResult, run_once
 from repro.explore.trace import TraceChooser, strip_trailing_defaults
 
@@ -50,9 +51,9 @@ def save_schedule(
     *,
     found_by: Optional[str] = None,
 ) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(schedule_payload(result, found_by=found_by), handle, indent=2)
-        handle.write("\n")
+    atomic_write_json(
+        path, schedule_payload(result, found_by=found_by), sort_keys=False
+    )
 
 
 def load_schedule(path: str) -> Dict[str, object]:

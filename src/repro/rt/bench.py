@@ -27,6 +27,8 @@ import tempfile
 import time
 from typing import Dict, Optional, Sequence
 
+from repro.common.atomic import atomic_write_json
+
 #: Coordinator counts measured by the series.
 FEDERATION_SCALES = (1, 2, 4)
 
@@ -130,9 +132,7 @@ def run_federation_series(
             with open(bench_out) as fh:
                 bench = json.load(fh)
     bench["federation_series"] = summary
-    with open(bench_out, "w") as fh:
-        json.dump(bench, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic_write_json(bench_out, bench)
 
     parts = ", ".join(
         f"c{n}: {series[f'c{n}']['throughput_committed_per_s']}/s"

@@ -39,6 +39,7 @@ import time
 from argparse import Namespace
 from typing import Dict, List, Optional
 
+from repro.common.atomic import atomic_write_json
 from repro.rt.nemesis import (
     NemesisControlClient,
     NemesisPlanConfig,
@@ -321,20 +322,16 @@ class ChaosRtDrill:
     def _persist_fault_log(self, data_root: str) -> None:
         path = os.path.join(data_root, "nemesis-faults.json")
         with contextlib.suppress(OSError):
-            with open(path, "w") as fh:
-                json.dump(
-                    {
-                        "seed": self.seed,
-                        "fired": self.plan_fired,
-                        "fault_log": self.fault_log,
-                        "stats": self.nemesis_stats,
-                    },
-                    fh,
-                    indent=2,
-                    sort_keys=True,
-                    default=str,
-                )
-                fh.write("\n")
+            atomic_write_json(
+                path,
+                {
+                    "seed": self.seed,
+                    "fired": self.plan_fired,
+                    "fault_log": self.fault_log,
+                    "stats": self.nemesis_stats,
+                },
+                default=str,
+            )
 
     def _record_bench(self, entry: dict) -> None:
         path = self.args.bench_out
@@ -345,9 +342,7 @@ class ChaosRtDrill:
                     bench = json.load(fh)
         bench.setdefault("chaos", {})
         bench["chaos"][f"seed{self.seed}"] = entry
-        with open(path, "w") as fh:
-            json.dump(bench, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        atomic_write_json(path, bench)
 
     def _print_report(self, entry: dict) -> None:
         if self.args.json_report:

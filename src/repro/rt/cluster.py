@@ -46,6 +46,7 @@ import time
 from collections import deque
 from typing import Dict, List, Optional
 
+from repro.common.atomic import atomic_write_json
 from repro.rt.codec import FRAME_CONTROL, encode_frame
 from repro.rt.nemesis import NemesisProxy, link_key
 from repro.rt.node import (
@@ -411,9 +412,7 @@ class ClusterSupervisor:
         if self.nemesis is not None:
             info["nemesis"] = self.nemesis.describe()
         path = os.path.join(self.data_root, "cluster.json")
-        with open(path, "w") as fh:
-            json.dump(info, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        atomic_write_json(path, info)
         return path
 
     # -- supervision ----------------------------------------------------------

@@ -50,6 +50,7 @@ import time
 from collections import deque
 from typing import Dict, List, Optional
 
+from repro.common.atomic import atomic_write_json
 from repro.federation.shard import ShardMap, shard_of_key
 from repro.history.invariants import check_atomic_commitment
 from repro.rt.host import ProtocolHost
@@ -863,9 +864,7 @@ class StormClient:
                 "fenced_begins": fed["fenced_begins"],
                 "handoff": fed["handoff"],
             }
-        with open(path, "w") as fh:
-            json.dump(bench, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        atomic_write_json(path, bench)
 
     def _print_report(self, report: dict) -> None:
         if self.args.json_report:

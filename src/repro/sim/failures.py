@@ -23,7 +23,7 @@ Two styles of injection:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError
@@ -40,6 +40,7 @@ from repro.history.model import OpKind, Operation
 from repro.net.failure_detector import FailureDetectorConfig
 from repro.net.faults import FaultPlan, LossBurst, Partition
 from repro.net.reliable import ReliableConfig
+from repro.sim.driver import DrillResult, drive
 
 
 def abort_current_incarnation(
@@ -149,35 +150,6 @@ def inject_site_crash(
     resubmission machinery.
     """
     system.kernel.schedule_at(at, lambda: system.ltm(site).crash())
-
-
-@dataclass
-class PeriodicCrashInjector:
-    """Crash a random site every ``period`` (plus jitter), ``count`` times."""
-
-    system: MultidatabaseSystem
-    period: float
-    count: int = 1
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        self._rng = random.Random(self.seed)
-        self.crashes: Dict[str, int] = {}
-        self._remaining = self.count
-        self._schedule_next()
-
-    def _schedule_next(self) -> None:
-        if self._remaining <= 0:
-            return
-        self._remaining -= 1
-        delay = self.period * (0.5 + self._rng.random())
-        self.system.kernel.schedule(delay, self._fire)
-
-    def _fire(self) -> None:
-        site = self._rng.choice(list(self.system.config.sites))
-        self.system.ltm(site).crash()
-        self.crashes[site] = self.crashes.get(site, 0) + 1
-        self._schedule_next()
 
 
 # ----------------------------------------------------------------------
@@ -326,47 +298,6 @@ class ChaosConfig:
     durability_root: Optional[str] = None
 
 
-@dataclass
-class ChaosResult:
-    """What one nemesis run did and whether the invariants held."""
-
-    seed: int
-    schedule_description: str
-    committed: int = 0
-    aborted: int = 0
-    coordinator_deaths: int = 0
-    #: Fault/session counters for the "did the run actually exercise
-    #: loss, duplication, a partition and a crash" assertion.
-    counters: Dict[str, int] = field(default_factory=dict)
-    #: Structured invariant violations (:class:`Violation` — stringify
-    #: for prose, ``to_dict`` for JSON); empty = the run is clean.
-    violations: List[Violation] = field(default_factory=list)
-    sim_time: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        lines = [
-            f"seed {self.seed}: committed={self.committed} "
-            f"aborted={self.aborted} sim_time={self.sim_time:.0f}",
-            "fault schedule:",
-            *(
-                "  " + line
-                for line in self.schedule_description.splitlines()
-            ),
-            "counters: "
-            + " ".join(f"{k}={v}" for k, v in sorted(self.counters.items())),
-        ]
-        if self.violations:
-            lines.append("VIOLATIONS:")
-            lines.extend(f"  - {v}" for v in self.violations)
-        else:
-            lines.append("invariants: all hold")
-        return "\n".join(lines)
-
-
 def build_fault_plan(config: ChaosConfig) -> FaultPlan:
     """Derive the seeded wire-fault schedule from a :class:`ChaosConfig`."""
     rng = random.Random(config.seed * 7919 + 17)
@@ -404,36 +335,6 @@ def build_fault_plan(config: ChaosConfig) -> FaultPlan:
         partitions=tuple(sorted(partitions, key=lambda p: p.start)),
         bursts=tuple(sorted(bursts, key=lambda b: b.start)),
         heal_at=config.duration,
-    )
-
-
-def build_chaos_system(
-    config: ChaosConfig, plan: Optional[FaultPlan] = None
-) -> MultidatabaseSystem:
-    """Wire one system with the full fault stack enabled."""
-    durability = None
-    if config.durability_root is not None:
-        from repro.durability.config import DurabilityConfig
-
-        durability = DurabilityConfig(root=config.durability_root)
-    return MultidatabaseSystem(
-        SystemConfig(
-            sites=config.sites,
-            n_coordinators=2,
-            seed=config.seed,
-            faults=plan if plan is not None else build_fault_plan(config),
-            reliable=ReliableConfig(seed=config.seed),
-            failure_detector=FailureDetectorConfig(stop_at=config.duration),
-            # Generous budgets: a partition must look like latency to the
-            # decision delivery, not kill the coordinator process.
-            coordinator_timeouts=CoordinatorTimeouts(
-                result_timeout=500.0,
-                vote_timeout=500.0,
-                ack_timeout=120.0,
-                max_resends=400,
-            ),
-            durability=durability,
-        )
     )
 
 
@@ -537,15 +438,36 @@ def wal_battery(durability_root: str) -> List[Violation]:
     return violations
 
 
-def run_chaos(config: ChaosConfig) -> ChaosResult:
+def run_chaos(config: ChaosConfig) -> DrillResult:
     """One full nemesis run: chaos phase, heal, drain, invariant battery."""
     from repro.sim.metrics import collect_metrics
     from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
     plan = build_fault_plan(config)
-    system = build_chaos_system(config, plan)
-    result = ChaosResult(seed=config.seed, schedule_description=plan.describe())
+    durability = None
+    if config.durability_root is not None:
+        from repro.durability.config import DurabilityConfig
 
+        durability = DurabilityConfig(root=config.durability_root)
+    system = MultidatabaseSystem(
+        SystemConfig(
+            sites=config.sites,
+            n_coordinators=2,
+            seed=config.seed,
+            faults=plan,
+            reliable=ReliableConfig(seed=config.seed),
+            failure_detector=FailureDetectorConfig(stop_at=config.duration),
+            # Generous budgets: a partition must look like latency to the
+            # decision delivery, not kill the coordinator process.
+            coordinator_timeouts=CoordinatorTimeouts(
+                result_timeout=500.0,
+                vote_timeout=500.0,
+                ack_timeout=120.0,
+                max_resends=400,
+            ),
+            durability=durability,
+        )
+    )
     crasher = RandomAgentCrashInjector(
         system,
         probability=config.crash_probability,
@@ -566,77 +488,31 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
             seed=config.seed,
         )
     ).generate()
-    for site, tables in workload.initial_data.items():
-        for table, rows in tables.items():
-            system.load(site, table, rows)
 
-    outcomes = {}
+    def heal() -> None:
+        # The wire faults expired at heal_at; now revive the processes.
+        if system.failure_detector is not None:
+            system.failure_detector.stop()
+        for site in config.sites:
+            if system.agent(site).crashed:
+                system.recover_agent(site)
 
-    def submit_global(entry) -> None:
-        completion = system.submit(entry.spec)
-
-        def done(event) -> None:
-            if event.error is not None:
-                # A coordinator process died (e.g. the resend budget ran
-                # out against a never-healing site).  Under chaos that is
-                # a *recorded* outcome, not a harness crash — the
-                # invariant battery decides whether it broke safety.
-                result.coordinator_deaths += 1
-                return
-            outcomes[entry.spec.txn] = event.value
-
-        completion.subscribe(done)
-
-    for entry in workload.globals_:
-        system.kernel.schedule(entry.at, lambda e=entry: submit_global(e))
-
-    def submit_local(entry) -> None:
-        system.submit_local(
-            entry.site,
-            entry.commands,
-            number=entry.number,
-            think_time=entry.think_time,
-        )
-
-    for entry in workload.locals_:
-        system.kernel.schedule(entry.at, lambda e=entry: submit_local(e))
-
-    # -- phase 1: nemesis ----------------------------------------------
-    system.run(until=config.duration)
-
-    # -- heal: wire faults expired (heal_at), now revive the processes --
-    if system.failure_detector is not None:
-        system.failure_detector.stop()
-    for site in config.sites:
-        if system.agent(site).crashed:
-            system.recover_agent(site)
-
-    # -- phase 2: drain to quiescence over the healed wire --------------
-    system.run(until=config.duration + config.drain, advance=False)
-    if system.kernel.pending:
-        result.violations.append(
-            Violation(
-                kind="quiesce",
-                detail=(
-                    f"run did not quiesce within drain budget "
-                    f"({system.kernel.pending} events pending)"
-                ),
-                context={"pending": system.kernel.pending},
-            )
-        )
-
-    # -- invariant battery ---------------------------------------------
-    result.committed = sum(1 for o in outcomes.values() if o.committed)
-    result.aborted = sum(1 for o in outcomes.values() if not o.committed)
-    result.sim_time = system.kernel.now
-
-    result.violations.extend(invariant_battery(system))
+    run = drive(
+        system,
+        workload,
+        config.duration + config.drain,
+        heal=(config.duration, heal),
+    )
+    # A coordinator process that died (e.g. its resend budget ran out
+    # against a never-healing site) is a *counted* outcome under chaos;
+    # the invariant battery decides whether it broke safety.
+    violations = run.drain_violations() + invariant_battery(system)
     system.close()
     if config.durability_root is not None:
-        result.violations.extend(wal_battery(config.durability_root))
+        violations.extend(wal_battery(config.durability_root))
 
     metrics = collect_metrics(system)
-    result.counters = {
+    counters = {
         "messages_lost": metrics.messages_lost,
         "messages_duplicated": metrics.messages_duplicated,
         "messages_spiked": metrics.messages_spiked,
@@ -648,7 +524,15 @@ def run_chaos(config: ChaosConfig) -> ChaosResult:
         "agent_restarts": metrics.agent_restarts,
         "quarantine_refusals": metrics.quarantine_refusals,
         "dead_letters": metrics.dead_letters,
-        "coordinator_deaths": result.coordinator_deaths,
+        "coordinator_deaths": len(run.coordinator_deaths),
         "crash_injections": len(crasher.crash_log),
     }
-    return result
+    return DrillResult(
+        seed=config.seed,
+        committed=len(run.committed_globals),
+        aborted=len(run.aborted_globals),
+        sim_time=run.finished_at,
+        counters=counters,
+        violations=violations,
+        schedule=plan.describe(),
+    )

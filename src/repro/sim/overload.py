@@ -20,13 +20,14 @@ Same seed ⇒ same run, bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from repro.common.errors import RefusalReason
 from repro.core.dtm import MultidatabaseSystem, SystemConfig
 from repro.history.invariants import Violation
 from repro.overload.config import OverloadConfig
+from repro.sim.driver import DrillResult, drive
 from repro.sim.failures import RandomFailureInjector, invariant_battery
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
@@ -67,75 +68,25 @@ class OverloadDrillConfig:
     run_limit: float = 500_000.0
 
 
-@dataclass
-class OverloadResult:
-    """What one drill run did and whether it shed cleanly."""
+def run_overload(config: OverloadDrillConfig) -> DrillResult:
+    """One full drill: storm, drain, invariant battery."""
+    from repro.sim.metrics import collect_metrics
 
-    seed: int
-    load: float
-    shed: bool
-    submitted: int = 0
-    committed: int = 0
-    aborted: int = 0
-    sim_time: float = 0.0
-    counters: Dict[str, int] = field(default_factory=dict)
-    #: Structured invariant violations (:class:`Violation` — stringify
-    #: for prose, ``to_dict`` for JSON); empty = the run is clean.
-    violations: List[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def goodput(self) -> float:
-        """Committed globals per simulated time unit."""
-        return self.committed / self.sim_time if self.sim_time else 0.0
-
-    def summary(self) -> str:
-        lines = [
-            f"seed {self.seed}: load={self.load:g}x shed={self.shed} "
-            f"submitted={self.submitted} committed={self.committed} "
-            f"aborted={self.aborted} sim_time={self.sim_time:.0f} "
-            f"goodput={self.goodput:.5f}",
-            "counters: "
-            + " ".join(f"{k}={v}" for k, v in sorted(self.counters.items())),
-        ]
-        if self.violations:
-            lines.append("VIOLATIONS:")
-            lines.extend(f"  - {v}" for v in self.violations)
-        else:
-            lines.append("invariants: all hold")
-        return "\n".join(lines)
-
-
-def overload_config_for(config: OverloadDrillConfig) -> OverloadConfig:
-    """The overload layer the drill enables when ``shed`` is on."""
-    return OverloadConfig(
-        max_inflight_globals=config.max_inflight,
-        default_deadline=config.default_deadline,
-    )
-
-
-def build_overload_system(config: OverloadDrillConfig) -> MultidatabaseSystem:
-    """Wire one system for the drill (perfect wire, storm at the door)."""
-    return MultidatabaseSystem(
+    overload = None
+    if config.shed:
+        overload = OverloadConfig(
+            max_inflight_globals=config.max_inflight,
+            default_deadline=config.default_deadline,
+        )
+    # A perfect wire: the storm is at the door, not in the network.
+    system = MultidatabaseSystem(
         SystemConfig(
             sites=config.sites,
             n_coordinators=2,
             seed=config.seed,
-            overload=overload_config_for(config) if config.shed else None,
+            overload=overload,
         )
     )
-
-
-def run_overload(config: OverloadDrillConfig) -> OverloadResult:
-    """One full drill: storm, drain, invariant battery."""
-    from repro.sim.metrics import collect_metrics
-
-    system = build_overload_system(config)
-    result = OverloadResult(seed=config.seed, load=config.load, shed=config.shed)
-
     injector = RandomFailureInjector(
         system,
         probability=config.failure_probability,
@@ -155,65 +106,15 @@ def run_overload(config: OverloadDrillConfig) -> OverloadResult:
             seed=config.seed,
         )
     ).generate()
-    for site, tables in workload.initial_data.items():
-        for table, rows in tables.items():
-            system.load(site, table, rows)
-
-    outcomes = {}
-
-    def submit_global(entry) -> None:
-        completion = system.submit(entry.spec)
-
-        def done(event) -> None:
-            if event.error is not None:
-                result.violations.append(
-                    Violation(
-                        kind="coordinator-death",
-                        detail=(
-                            f"coordinator process for {entry.spec.txn} died: "
-                            f"{event.error!r}"
-                        ),
-                        txns=(str(entry.spec.txn),),
-                    )
-                )
-                return
-            outcomes[entry.spec.txn] = event.value
-
-        completion.subscribe(done)
-
-    for entry in workload.globals_:
-        system.kernel.schedule(entry.at, lambda e=entry: submit_global(e))
-    for entry in workload.locals_:
-        system.kernel.schedule(
-            entry.at,
-            lambda e=entry: system.submit_local(
-                e.site, e.commands, number=e.number, think_time=e.think_time
-            ),
-        )
 
     # -- the storm, driven to quiescence (or the safety bound) ----------
-    system.run(until=config.run_limit, advance=False)
-    if system.kernel.pending:
-        result.violations.append(
-            Violation(
-                kind="quiesce",
-                detail=(
-                    f"run did not quiesce within {config.run_limit:g} time "
-                    f"units ({system.kernel.pending} events pending)"
-                ),
-                context={"pending": system.kernel.pending},
-            )
-        )
+    run = drive(system, workload, config.run_limit)
 
     # -- invariant battery ---------------------------------------------
-    result.submitted = len(workload.globals_)
-    result.committed = sum(1 for o in outcomes.values() if o.committed)
-    result.aborted = sum(1 for o in outcomes.values() if not o.committed)
-    result.sim_time = system.kernel.now
-
-    if len(outcomes) != len(workload.globals_):
-        missing = len(workload.globals_) - len(outcomes)
-        result.violations.append(
+    violations = run.death_violations() + run.drain_violations()
+    missing = len(workload.globals_) - len(run.global_outcomes)
+    if missing:
+        violations.append(
             Violation(
                 kind="non-terminal",
                 detail=f"{missing} submitted globals never reached a terminal state",
@@ -221,12 +122,12 @@ def run_overload(config: OverloadDrillConfig) -> OverloadResult:
             )
         )
 
-    result.violations.extend(invariant_battery(system))
+    violations.extend(invariant_battery(system))
 
     for site in config.sites:
         agent = system.agent(site)
         if agent.certifier.table_size() != 0:
-            result.violations.append(
+            violations.append(
                 Violation(
                     kind="certifier-leak",
                     detail=(
@@ -240,7 +141,7 @@ def run_overload(config: OverloadDrillConfig) -> OverloadResult:
 
     system.close()
     metrics = collect_metrics(system)
-    result.counters = {
+    counters = {
         "admitted": metrics.overload_admitted,
         "shed": metrics.overload_shed,
         "deadline_aborts": metrics.deadline_aborts,
@@ -256,4 +157,14 @@ def run_overload(config: OverloadDrillConfig) -> OverloadResult:
         "injected_aborts": injector.injected,
         "dead_letters": metrics.dead_letters,
     }
-    return result
+    return DrillResult(
+        seed=config.seed,
+        committed=len(run.committed_globals),
+        aborted=len(run.aborted_globals),
+        sim_time=run.finished_at,
+        counters=counters,
+        violations=violations,
+        load=config.load,
+        shed=config.shed,
+        submitted=len(workload.globals_),
+    )

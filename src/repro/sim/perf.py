@@ -24,6 +24,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from repro.common.atomic import atomic_write_json
+
 SCHEMA = "repro-bench/v1"
 
 #: Seed-revision numbers (pytest-benchmark ``min`` of the corresponding
@@ -648,9 +650,7 @@ def write_artifacts(
         "results": [result.to_json() for result in kernel_results],
     }
     path = os.path.join(out_dir, "BENCH_kernel.json")
-    with open(path, "w") as handle:
-        json.dump(kernel_doc, handle, indent=2)
-        handle.write("\n")
+    atomic_write_json(path, kernel_doc, sort_keys=False)
     written["kernel"] = path
 
     e2e_rows = run_e2e_suite(repeats=e2e_repeats, soak_txns=soak_txns)
@@ -663,9 +663,7 @@ def write_artifacts(
         "results": e2e_rows,
     }
     path = os.path.join(out_dir, "BENCH_e2e.json")
-    with open(path, "w") as handle:
-        json.dump(e2e_doc, handle, indent=2)
-        handle.write("\n")
+    atomic_write_json(path, e2e_doc, sort_keys=False)
     written["e2e"] = path
     return written
 

@@ -1,5 +1,7 @@
 """Tests for site crashes (collective abort) and the Lamport SN source."""
 
+import random
+
 from repro.common.ids import SubtxnId, global_txn
 from repro.core.agent import AgentConfig
 from repro.core.coordinator import GlobalTransactionSpec
@@ -8,8 +10,8 @@ from repro.history.model import OpKind
 from repro.ldbs.commands import AddValue, ReadItem, UpdateItem
 from repro.net.network import LatencyModel
 from repro.sim.driver import run_schedule
-from repro.sim.failures import PeriodicCrashInjector, inject_site_crash
-from repro.sim.metrics import audit
+from repro.sim.failures import inject_site_crash
+from repro.sim.metrics import audit, collect_metrics
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
 
@@ -117,13 +119,19 @@ class TestCrashDuringProtocol:
         system = MultidatabaseSystem(
             SystemConfig(sites=("a", "b"), n_coordinators=2, method="2cm")
         )
-        PeriodicCrashInjector(system, period=60.0, count=4, seed=3)
+        # Four crashes of seeded random sites, 30-90 time units apart.
+        rng = random.Random(3)
+        at = 0.0
+        for _ in range(4):
+            at += 60.0 * (0.5 + rng.random())
+            inject_site_crash(system, rng.choice(("a", "b")), at=at)
         schedule = WorkloadGenerator(
             WorkloadConfig(
                 sites=("a", "b"), n_global=10, keys_per_site=24, seed=3
             )
         ).generate()
         run_schedule(system, schedule)
+        assert collect_metrics(system).unilateral_aborts >= 2
         report = audit(system)
         assert report.rigor_violations == 0
         assert not report.distortions.has_global_distortion

@@ -77,6 +77,20 @@ class TestDriver:
         # Every original either committed directly or via a retry chain.
         assert result.logical_commit_fraction() == 1.0
 
+    def test_coordinator_death_raises_chained_to_its_exception(self, monkeypatch):
+        from repro.common.errors import SimulationError
+        from repro.core.coordinator import Coordinator
+
+        def die(self, spec, program=None):
+            raise RuntimeError(f"boom in {spec.txn}")
+            yield  # a generator, like the real process body
+
+        monkeypatch.setattr(Coordinator, "_run", die)
+        with pytest.raises(SimulationError, match="coordinator process") as info:
+            run_schedule(build(), small_workload(n_global=2))
+        assert isinstance(info.value.__cause__, RuntimeError)
+        assert "boom" in str(info.value.__cause__)
+
     def test_deterministic_runs(self):
         first = run_schedule(build(seed=9), small_workload(seed=9))
         second = run_schedule(build(seed=9), small_workload(seed=9))
